@@ -167,6 +167,11 @@ func main() {
 		}
 	}
 
+	if err := checkNameFlags(cmd, fs, *methodsFlag, *datasets); err != nil {
+		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
+		os.Exit(2)
+	}
+
 	start := time.Now()
 	switch cmd {
 	case "table1":
@@ -286,6 +291,28 @@ transport flags (serve/join): -addr host:port, -nodes N, -codec c, -timeout s, -
 checkpoint flags (serve): -checkpoint path, -checkpoint-every N, -resume path, -control addr
 status flags: -addr host:port (the -control address), -trigger-checkpoint
 telemetry flags: -journal path (runs: append JSONL round events; tail: the journal to read), -last N, -follow`)
+}
+
+// checkNameFlags rejects unknown -methods and -datasets values for the
+// subcommands that read them, before any output: an unknown name would
+// otherwise surface as a panic partway through the run.
+func checkNameFlags(cmd string, fs *flag.FlagSet, methodsFlag, datasetsFlag string) error {
+	switch cmd {
+	case "table1":
+		if err := experiments.CheckDatasets(splitList(datasetsFlag)); err != nil {
+			return err
+		}
+		return experiments.CheckMethods(splitList(methodsFlag))
+	case "stragglers", "hostile":
+		return experiments.CheckMethods(explicitMethods(fs, methodsFlag))
+	case "serve":
+		for _, m := range explicitMethods(fs, methodsFlag) {
+			if _, err := distTrainer(m); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // explicitMethods returns the parsed -methods list only when the flag

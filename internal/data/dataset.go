@@ -25,15 +25,15 @@ type Dataset struct {
 	Classes int
 	C, H, W int
 
-	// batchers caches one Batcher per batch size seen (a dataset sees at
-	// most a couple: the training batch and the evaluation batch).
-	batchers []*Batcher
+	// batchers caches one *BatcherOf[T] per (element type, batch size)
+	// seen — a dataset sees at most a couple of sizes: the training batch
+	// and the evaluation batch.
+	batchers []any
 
-	// x32 is the lazily built float32 copy of X backing Batcher32 (the
-	// float32 compute path); single-goroutine ownership makes the lazy
-	// fill safe without synchronization. batchers32 mirrors batchers.
-	x32        []float32
-	batchers32 []*Batcher32
+	// x32 is the lazily built float32 copy of X behind the float32
+	// batchers; single-goroutine ownership makes the lazy fill safe
+	// without synchronization.
+	x32 []float32
 }
 
 // Len returns the number of examples.
@@ -97,11 +97,14 @@ func (d *Dataset) LabelDistribution() []float64 {
 	return p
 }
 
-// Batch is one minibatch: inputs plus labels.
-type Batch struct {
-	X *tensor.Tensor
+// BatchOf is one minibatch: inputs plus labels.
+type BatchOf[T tensor.Float] struct {
+	X *tensor.TensorOf[T]
 	Y []int
 }
+
+// Batch is a float64 minibatch.
+type Batch = BatchOf[float64]
 
 // Batches splits the dataset into shuffled minibatches of at most size
 // examples. The final partial batch is included. A nil rng disables
@@ -134,38 +137,65 @@ func (d *Dataset) Batches(size int, r *rng.Rng) []Batch {
 	return out
 }
 
-// Batcher is the reusable-view counterpart of Batches: it cuts the
+// BatcherOf is the reusable-view counterpart of Batches: it cuts the
 // dataset into the same shuffled minibatches but copies each batch into
 // one persistent backing buffer instead of materializing every batch of
-// every epoch. Next therefore yields views — a returned Batch is valid
+// every epoch. Next therefore yields views — a returned batch is valid
 // only until the next Next or Reset call — and a warm epoch performs no
-// heap allocations.
-type Batcher struct {
+// heap allocations. A float32 batcher reads the dataset's float32 copy
+// of X and consumes the same shuffle draws, so both element types see
+// identical batch composition for the same epoch RNG.
+type BatcherOf[T tensor.Float] struct {
 	d     *Dataset
+	x     []T // the dataset's features as T
 	size  int
 	order []int
 	pos   int
-	full  *tensor.Tensor // (size, dim) view over the backing buffer
-	tail  *tensor.Tensor // (n%size, dim) view over its prefix; nil if n%size == 0
+	full  *tensor.TensorOf[T] // (size, dim) view over the backing buffer
+	tail  *tensor.TensorOf[T] // (n%size, dim) view over its prefix; nil if n%size == 0
 	y     []int
 }
 
-// Batcher returns the dataset's cached batcher for the given size,
-// building it on first use. The cache keeps one batcher per distinct
-// size, so alternating training and evaluation passes both stay warm.
-func (d *Dataset) Batcher(size int) *Batcher {
-	for _, b := range d.batchers {
-		if b.size == size {
+// Batcher is the float64 batcher.
+type Batcher = BatcherOf[float64]
+
+// Batcher returns the dataset's cached float64 batcher for the given
+// size (see BatcherFor).
+func (d *Dataset) Batcher(size int) *Batcher { return BatcherFor[float64](d, size) }
+
+// BatcherFor returns d's cached batcher over element type T for the
+// given size, building it on first use. The cache keeps one batcher per
+// distinct (type, size), so alternating training and evaluation passes
+// all stay warm.
+func BatcherFor[T tensor.Float](d *Dataset, size int) *BatcherOf[T] {
+	for _, c := range d.batchers {
+		if b, ok := c.(*BatcherOf[T]); ok && b.size == size {
 			return b
 		}
 	}
-	b := newBatcher(d, size)
+	b := newBatcher[T](d, size)
 	d.batchers = append(d.batchers, b)
 	return b
 }
 
+// features returns d's feature matrix as T: X itself for float64, and
+// for float32 a copy built on first use (one rounding per scalar; the
+// float64 X stays canonical).
+func features[T tensor.Float](d *Dataset) []T {
+	if x, ok := any(d.X.Data).([]T); ok {
+		return x
+	}
+	if d.x32 == nil {
+		d.x32 = make([]float32, len(d.X.Data))
+		for i, v := range d.X.Data {
+			d.x32[i] = float32(v)
+		}
+	}
+	return any(d.x32).([]T)
+}
+
 // newBatcher sizes the backing buffer and batch views for the dataset.
-func newBatcher(d *Dataset, size int) *Batcher {
+func newBatcher[T tensor.Float](d *Dataset, size int) *BatcherOf[T] {
 	if size <= 0 {
 		panic(fmt.Sprintf("data: batch size must be positive, got %d", size))
 	}
@@ -174,13 +204,13 @@ func newBatcher(d *Dataset, size int) *Batcher {
 	if n < size {
 		rows = n
 	}
-	b := &Batcher{
-		d: d, size: size,
+	b := &BatcherOf[T]{
+		d: d, x: features[T](d), size: size,
 		order: make([]int, n),
 		pos:   n, // exhausted until the first Reset
 		y:     make([]int, rows),
 	}
-	buf := make([]float64, rows*dim)
+	buf := make([]T, rows*dim)
 	if n >= size {
 		b.full = tensor.FromSlice(buf, size, dim)
 	}
@@ -194,7 +224,7 @@ func newBatcher(d *Dataset, size int) *Batcher {
 // as Batches does (each epoch shuffles the identity order, so the stream
 // consumption — and therefore the batch composition — is identical). A
 // nil rng yields deterministic order.
-func (b *Batcher) Reset(r *rng.Rng) {
+func (b *BatcherOf[T]) Reset(r *rng.Rng) {
 	b.pos = 0
 	for i := range b.order {
 		b.order[i] = i
@@ -207,11 +237,12 @@ func (b *Batcher) Reset(r *rng.Rng) {
 // Next copies the next minibatch into the reused view and returns it,
 // or ok=false when the epoch is exhausted. The final partial batch is
 // included, as a smaller view over the same buffer.
-func (b *Batcher) Next() (batch Batch, ok bool) {
+func (b *BatcherOf[T]) Next() (batch BatchOf[T], ok bool) {
 	n := b.d.Len()
 	if b.pos >= n {
-		return Batch{}, false
+		return BatchOf[T]{}, false
 	}
+	dim := b.d.Dim()
 	hi := b.pos + b.size
 	x := b.full
 	if hi > n {
@@ -221,11 +252,11 @@ func (b *Batcher) Next() (batch Batch, ok bool) {
 	count := hi - b.pos
 	for i := 0; i < count; i++ {
 		src := b.order[b.pos+i]
-		copy(x.Row(i), b.d.X.Row(src))
+		copy(x.Row(i), b.x[src*dim:(src+1)*dim])
 		b.y[i] = b.d.Y[src]
 	}
 	b.pos = hi
-	return Batch{X: x, Y: b.y[:count]}, true
+	return BatchOf[T]{X: x, Y: b.y[:count]}, true
 }
 
 // Split partitions the dataset into two disjoint parts with the first

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"fedclust/internal/cluster"
 	"fedclust/internal/core"
@@ -41,18 +43,46 @@ var DefaultObserver fl.RoundObserver
 // MethodNames are the Table-I methods, in the paper's row order.
 var MethodNames = []string{"FedAvg", "FedProx", "CFL", "IFCA", "PACFL", "FedClust"}
 
+// datasets maps each dataset name to its synthetic stand-in.
+var datasets = map[string]func(seed uint64) data.SynthConfig{
+	"cifar10": data.SynthCIFAR10,
+	"fmnist":  data.SynthFMNIST,
+	"svhn":    data.SynthSVHN,
+}
+
 // DatasetConfig returns the synthetic stand-in for a named dataset.
 func DatasetConfig(name string, seed uint64) data.SynthConfig {
-	switch name {
-	case "cifar10":
-		return data.SynthCIFAR10(seed)
-	case "fmnist":
-		return data.SynthFMNIST(seed)
-	case "svhn":
-		return data.SynthSVHN(seed)
-	default:
+	mk, ok := datasets[name]
+	if !ok {
 		panic(fmt.Sprintf("experiments: unknown dataset %q", name))
 	}
+	return mk(seed)
+}
+
+// CheckDatasets returns an error naming the first unknown dataset in
+// names, so a caller can reject bad input before any work starts.
+func CheckDatasets(names []string) error {
+	return checkNames("dataset", names, datasets)
+}
+
+// CheckMethods is CheckDatasets for method names (NewTrainer's set).
+func CheckMethods(names []string) error {
+	return checkNames("method", names, trainers)
+}
+
+// checkNames reports the first of names missing from known.
+func checkNames[V any](kind string, names []string, known map[string]V) error {
+	for _, n := range names {
+		if _, ok := known[n]; !ok {
+			valid := make([]string, 0, len(known))
+			for k := range known {
+				valid = append(valid, k)
+			}
+			sort.Strings(valid)
+			return fmt.Errorf("unknown %s %q (want one of %s)", kind, n, strings.Join(valid, ", "))
+		}
+	}
+	return nil
 }
 
 // Workload parameterizes one federated run: the dataset, the client
@@ -150,29 +180,26 @@ func BuildEnv(w Workload, seed uint64) *fl.Env {
 	}
 }
 
+// trainers maps each method name to its constructor.
+var trainers = map[string]func(w Workload) fl.Trainer{
+	"FedAvg":      func(Workload) fl.Trainer { return methods.FedAvg{} },
+	"FedProx":     func(w Workload) fl.Trainer { return methods.FedProx{Mu: w.FedProxMu} },
+	"CFL":         func(Workload) fl.Trainer { return methods.CFL{} },
+	"IFCA":        func(w Workload) fl.Trainer { return methods.IFCA{K: w.IFCAK} },
+	"PACFL":       func(Workload) fl.Trainer { return methods.PACFL{} },
+	"FedClust":    func(Workload) fl.Trainer { return &core.FedClust{} },
+	"FedAvgStale": func(Workload) fl.Trainer { return methods.FedAvgStale{} },
+	"FedBuff":     func(Workload) fl.Trainer { return methods.FedBuff{} },
+}
+
 // NewTrainer instantiates a method by Table-I name with the workload's
 // hyperparameters.
 func NewTrainer(name string, w Workload) fl.Trainer {
-	switch name {
-	case "FedAvg":
-		return methods.FedAvg{}
-	case "FedProx":
-		return methods.FedProx{Mu: w.FedProxMu}
-	case "CFL":
-		return methods.CFL{}
-	case "IFCA":
-		return methods.IFCA{K: w.IFCAK}
-	case "PACFL":
-		return methods.PACFL{}
-	case "FedClust":
-		return &core.FedClust{}
-	case "FedAvgStale":
-		return methods.FedAvgStale{}
-	case "FedBuff":
-		return methods.FedBuff{}
-	default:
+	mk, ok := trainers[name]
+	if !ok {
 		panic(fmt.Sprintf("experiments: unknown method %q", name))
 	}
+	return mk(w)
 }
 
 // NewTrainerWithLinkage builds FedClust with a specific linkage (for the

@@ -67,51 +67,69 @@ func (c LocalConfig) Check() error {
 }
 
 // TrainScratch carries the allocation-heavy state of local training — the
-// optimizer (with its velocity buffers), the loss-head workspaces, the
-// FedProx reference buffer, and the model's parameter/gradient lists — so
-// one worker can run many client visits with zero steady-state heap
-// allocations. The zero value is ready to use; a TrainScratch must not be
-// shared across concurrent goroutines.
+// optimizer (with its velocity buffers), the loss-head workspaces and the
+// FedProx reference buffer, one set per dtype — so one worker can run
+// many client visits with zero steady-state heap allocations. The zero
+// value is ready to use; a TrainScratch must not be shared across
+// concurrent goroutines.
 type TrainScratch struct {
 	// DType routes LocalUpdate/Evaluate through the float32 compute path
 	// when set to Float32; models whose architecture has no float32
 	// mirror fall back to float64 transparently.
 	DType DType
 
-	sgd     *opt.SGD
-	ce      nn.SoftmaxCE
-	proxRef []float64
-	// model is the network the params/grads caches below belong to;
-	// pooled execution hands each worker the same model every visit, so
-	// the lists are rebuilt only when the scratch changes models.
-	model  *nn.Sequential
-	params []*tensor.Tensor
-	grads  []*tensor.Tensor
-
-	// Float32-path state (see client32.go): shadow is the float32
-	// replica of shadowSrc, rebuilt when the scratch changes models;
-	// mirrorFailed remembers an architecture Mirror32 could not handle
-	// so every visit doesn't retry.
-	shadow       *nn.Sequential32
-	shadowSrc    *nn.Sequential
-	mirrorFailed bool
-	sgd32        *opt.SGD32
-	ce32         nn.SoftmaxCE32
-	proxRef32    []float32
-	flat32       []float32
+	f64 trainState[float64]
+	f32 trainState[float32]
+	// shadow is the float32 replica the Float32 path trains and
+	// evaluates on (DESIGN.md §10).
+	shadow shadow
+	flat32 []float32
 	// ranF32 records whether the last LocalUpdate on this scratch ran on
-	// the float32 path, i.e. whether shadow holds the trained weights
+	// the float32 path, i.e. whether the shadow holds the trained weights
 	// (the zero-convert wire fast path keys off this).
 	ranF32 bool
 }
 
-// bind refreshes the cached parameter and gradient lists for model.
-func (ts *TrainScratch) bind(model *nn.Sequential) {
-	if ts.model != model {
-		ts.model = model
-		ts.params = model.Params()
-		ts.grads = model.Grads()
+// trainState is the per-dtype half of TrainScratch.
+type trainState[T tensor.Float] struct {
+	sgd     opt.SGDOf[T]
+	ce      nn.SoftmaxCEOf[T]
+	proxRef []T
+}
+
+// shadow caches a float32 replica of a float64 model. Master weights stay
+// float64 everywhere; the float32 path rounds the model's parameters into
+// the replica once per visit, computes in float32, and (after training)
+// widens the result back. Widening is exact, so trained float32 weights
+// survive the float64 round-trip bit-identically — which is what makes
+// the transport's Float32 wire frames a true zero-convert fast path (see
+// Params32).
+type shadow struct {
+	net *nn.SequentialOf[float32]
+	// failed remembers an architecture nn.Mirror could not handle, so
+	// later visits stay float64 without retrying.
+	failed bool
+}
+
+// of returns the replica loaded with model's current parameters, reusing
+// the cached one when its parameter layout matches — pooled execution
+// hands a worker many models of one architecture — and rebuilding it
+// otherwise. It returns nil when the architecture has no float32 mirror;
+// the caller then stays on the float64 path.
+func (s *shadow) of(model *nn.Sequential) *nn.SequentialOf[float32] {
+	if s.net == nil || !nn.SameLayout(s.net, model) {
+		if s.failed {
+			return nil
+		}
+		m := nn.Mirror[float32](model)
+		if m == nil {
+			s.failed = true
+			return nil
+		}
+		s.net = m
 	}
+	nn.CopyParams(s.net, model)
+	return s.net
 }
 
 // LocalUpdate trains model in place on d for cfg.Epochs passes of local
@@ -121,38 +139,45 @@ func (ts *TrainScratch) bind(model *nn.Sequential) {
 // weights just loaded). r drives batch shuffling and (via
 // nn.Sequential.SeedStep) any stochastic layers, so the result depends
 // only on (model weights, dataset, cfg, r) — never on earlier visits
-// that reused the same model or scratch.
+// that reused the same model or scratch. On the Float32 path the same
+// shuffling draws, stochastic-layer keys and update order apply, so the
+// only divergence from float64 is rounding.
 func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
 	cfg.Validate()
 	if d.Len() == 0 {
 		return 0
 	}
 	if ts.DType == Float32 {
-		if loss, ok := ts.localUpdate32(model, d, cfg, r); ok {
+		if sh := ts.shadow.of(model); sh != nil {
+			loss := ts.f32.localUpdate(sh, d, cfg, r)
+			nn.CopyParams(model, sh)
+			ts.ranF32 = true
 			return loss
 		}
 	}
 	ts.ranF32 = false
-	ts.bind(model)
-	model.SeedStep(r)
-	var proxRef []float64
+	return ts.f64.localUpdate(model, d, cfg, r)
+}
+
+// localUpdate is LocalUpdate's training loop on a network of either
+// element type.
+func (st *trainState[T]) localUpdate(net *nn.SequentialOf[T], d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
+	net.SeedStep(r)
+	params, grads := net.Params(), net.Grads()
+	var proxRef []T
 	if cfg.ProxMu > 0 {
-		n := model.NumParams()
-		if cap(ts.proxRef) < n {
-			ts.proxRef = make([]float64, n)
+		n := net.NumParams()
+		if cap(st.proxRef) < n {
+			st.proxRef = make([]T, n)
 		}
-		proxRef = ts.proxRef[:n]
-		nn.FlattenParamsInto(model, proxRef)
+		proxRef = st.proxRef[:n]
+		nn.FlattenParamsInto(net, proxRef)
 	}
-	if ts.sgd == nil {
-		ts.sgd = opt.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-	} else {
-		ts.sgd.Reconfigure(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-		ts.sgd.Reset()
-	}
+	st.sgd.Reconfigure(cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	st.sgd.Reset()
 	var totalLoss float64
 	batches := 0
-	bt := d.Batcher(cfg.BatchSize)
+	bt := data.BatcherFor[T](d, cfg.BatchSize)
 	for e := 0; e < cfg.Epochs; e++ {
 		bt.Reset(r)
 		for {
@@ -160,16 +185,16 @@ func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg L
 			if !ok {
 				break
 			}
-			for _, g := range ts.grads {
+			for _, g := range grads {
 				g.Zero()
 			}
-			logits := model.Forward(b.X, true)
-			loss, grad, _ := ts.ce.Loss(logits, b.Y)
-			model.Backward(grad)
+			logits := net.Forward(b.X, true)
+			loss, grad, _ := st.ce.Loss(logits, b.Y)
+			net.Backward(grad)
 			if cfg.ProxMu > 0 {
-				opt.AddProximal(ts.params, ts.grads, proxRef, cfg.ProxMu)
+				opt.AddProximal(params, grads, proxRef, cfg.ProxMu)
 			}
-			ts.sgd.Step(ts.params, ts.grads)
+			st.sgd.Step(params, grads)
 			totalLoss += loss
 			batches++
 		}
@@ -177,19 +202,39 @@ func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg L
 	return totalLoss / float64(batches)
 }
 
+// Params32 returns the trained float32 parameter vector of the last
+// LocalUpdate when it ran on the float32 path, flattened into a reused
+// buffer — the transport's zero-convert source for Float32 wire frames.
+// Because widening back to float64 is exact, the returned bits equal
+// what encoding the float64 model into a Float32 frame would produce;
+// the fast path changes no observable value, only skips the converts.
+// The slice is overwritten by the next call; ok=false means the last
+// update ran float64 and callers must encode from the model.
+func (ts *TrainScratch) Params32() (vec []float32, ok bool) {
+	if !ts.ranF32 {
+		return nil, false
+	}
+	n := ts.shadow.net.NumParams()
+	if cap(ts.flat32) < n {
+		ts.flat32 = make([]float32, n)
+	}
+	ts.flat32 = ts.flat32[:n]
+	nn.FlattenParamsInto(ts.shadow.net, ts.flat32)
+	return ts.flat32, true
+}
+
 // Evaluate is EvaluateCE through the scratch's loss head, for hooks that
 // interleave evaluation with training on the same worker (e.g. IFCA's
 // per-cluster selection) without per-call workspace allocations.
 func (ts *TrainScratch) Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
 	if ts.DType == Float32 {
-		if sh := ts.shadowFor(model); sh != nil {
+		if sh := ts.shadow.of(model); sh != nil {
 			// The shadow now holds eval weights, not a trained update.
 			ts.ranF32 = false
-			nn.AssignParams32(sh, model)
-			return EvaluateCE32(sh, d, batchSize, &ts.ce32)
+			return EvaluateCE(sh, d, batchSize, &ts.f32.ce)
 		}
 	}
-	return EvaluateCE(model, d, batchSize, &ts.ce)
+	return EvaluateCE(model, d, batchSize, &ts.f64.ce)
 }
 
 // LocalUpdate is the scratch-free convenience form of
@@ -209,14 +254,16 @@ func Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc f
 
 // EvaluateCE is Evaluate with a caller-owned loss head, so evaluation
 // loops (the engine's per-worker evaluation protocol) keep their loss
-// workspaces warm across clients and allocate nothing per batch.
-func EvaluateCE(model *nn.Sequential, d *data.Dataset, batchSize int, ce *nn.SoftmaxCE) (loss, acc float64) {
+// workspaces warm across clients and allocate nothing per batch. It runs
+// a network of either element type; the caller loads the parameters it
+// wants evaluated into a float32 shadow.
+func EvaluateCE[T tensor.Float](model *nn.SequentialOf[T], d *data.Dataset, batchSize int, ce *nn.SoftmaxCEOf[T]) (loss, acc float64) {
 	if d.Len() == 0 {
 		return 0, 0
 	}
 	var lossSum float64
 	correct := 0
-	bt := d.Batcher(batchSize)
+	bt := data.BatcherFor[T](d, batchSize)
 	bt.Reset(nil)
 	for {
 		b, ok := bt.Next()

@@ -139,7 +139,7 @@ func (o *oddLayer) Grads() []*tensor.Tensor                             { return
 func (o *oddLayer) OutDim() int                                         { return o.dim }
 
 // TestLocalUpdate32FallsBackOnUnmirrorable pins the compatibility
-// contract: an architecture Mirror32 cannot handle silently trains on
+// contract: an architecture nn.Mirror cannot handle silently trains on
 // the float64 path with results bit-identical to a float64 scratch.
 func TestLocalUpdate32FallsBackOnUnmirrorable(t *testing.T) {
 	d := benchDataset(40)

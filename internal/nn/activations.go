@@ -8,24 +8,27 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// ReLU is the rectified linear activation, applied elementwise.
-type ReLU struct {
+// ReLUOf is the rectified linear activation, applied elementwise.
+type ReLUOf[T tensor.Float] struct {
 	dim     int
 	mask    []bool
-	out, gx ws
+	out, gx ws[T]
 }
+
+// ReLU is the float64 rectified linear activation.
+type ReLU = ReLUOf[float64]
 
 // NewReLU builds a ReLU over dim features.
 func NewReLU(dim int) *ReLU { return &ReLU{dim: dim} }
 
 // Name implements Layer.
-func (r *ReLU) Name() string { return fmt.Sprintf("relu(%d)", r.dim) }
+func (r *ReLUOf[T]) Name() string { return fmt.Sprintf("relu(%d)", r.dim) }
 
 // OutDim implements Layer.
-func (r *ReLU) OutDim() int { return r.dim }
+func (r *ReLUOf[T]) OutDim() int { return r.dim }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (r *ReLUOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	checkBatchInput(r, "", x, r.dim)
 	out := r.out.get(x.Shape[0], x.Shape[1])
 	r.mask = growBools(r.mask, len(x.Data))
@@ -42,7 +45,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (r *ReLUOf[T]) Backward(gradOut *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 	if r.mask == nil {
 		panic("nn: ReLU.Backward called before Forward")
 	}
@@ -58,41 +61,45 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (r *ReLU) Params() []*tensor.Tensor { return nil }
+func (r *ReLUOf[T]) Params() []*tensor.TensorOf[T] { return nil }
 
 // Grads implements Layer (none).
-func (r *ReLU) Grads() []*tensor.Tensor { return nil }
+func (r *ReLUOf[T]) Grads() []*tensor.TensorOf[T] { return nil }
 
-// Tanh is the hyperbolic tangent activation (LeNet-5's classic
-// nonlinearity), applied elementwise.
-type Tanh struct {
+// TanhOf is the hyperbolic tangent activation (LeNet-5's classic
+// nonlinearity), applied elementwise. The transcendental is evaluated in
+// float64 and rounded once to T.
+type TanhOf[T tensor.Float] struct {
 	dim     int
-	y       *tensor.Tensor
-	out, gx ws
+	y       *tensor.TensorOf[T]
+	out, gx ws[T]
 }
+
+// Tanh is the float64 hyperbolic tangent activation.
+type Tanh = TanhOf[float64]
 
 // NewTanh builds a Tanh over dim features.
 func NewTanh(dim int) *Tanh { return &Tanh{dim: dim} }
 
 // Name implements Layer.
-func (t *Tanh) Name() string { return fmt.Sprintf("tanh(%d)", t.dim) }
+func (t *TanhOf[T]) Name() string { return fmt.Sprintf("tanh(%d)", t.dim) }
 
 // OutDim implements Layer.
-func (t *Tanh) OutDim() int { return t.dim }
+func (t *TanhOf[T]) OutDim() int { return t.dim }
 
 // Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (t *TanhOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	checkBatchInput(t, "", x, t.dim)
 	out := t.out.get(x.Shape[0], x.Shape[1])
 	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
+		out.Data[i] = T(math.Tanh(float64(v)))
 	}
 	t.y = out
 	return out
 }
 
 // Backward implements Layer: d tanh = 1 - tanh².
-func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (t *TanhOf[T]) Backward(gradOut *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 	if t.y == nil {
 		panic("nn: Tanh.Backward called before Forward")
 	}
@@ -105,12 +112,12 @@ func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (t *Tanh) Params() []*tensor.Tensor { return nil }
+func (t *TanhOf[T]) Params() []*tensor.TensorOf[T] { return nil }
 
 // Grads implements Layer (none).
-func (t *Tanh) Grads() []*tensor.Tensor { return nil }
+func (t *TanhOf[T]) Grads() []*tensor.TensorOf[T] { return nil }
 
-// Dropout zeroes activations with probability P during training and
+// DropoutOf zeroes activations with probability P during training and
 // rescales the survivors by 1/(1-P) (inverted dropout); it is the identity
 // at evaluation time.
 //
@@ -120,15 +127,19 @@ func (t *Tanh) Grads() []*tensor.Tensor { return nil }
 // round) stream, not on how many times the model instance was used
 // before — the property pooled model reuse relies on (DESIGN.md §5,
 // model-pool invariant 3). The constructor stream is only a fallback for
-// standalone use.
-type Dropout struct {
+// standalone use. Every element consumes exactly one r.Float64() draw, so
+// a mirrored shadow sees the same masks as its float64 source.
+type DropoutOf[T tensor.Float] struct {
 	dim     int
 	P       float64
 	rng     *rng.Rng
 	mask    []bool
 	active  bool // true when the last Forward was a training pass
-	out, gx ws
+	out, gx ws[T]
 }
+
+// Dropout is the float64 inverted dropout.
+type Dropout = DropoutOf[float64]
 
 // NewDropout builds a Dropout layer with drop probability p in [0, 1).
 func NewDropout(dim int, p float64, r *rng.Rng) *Dropout {
@@ -139,16 +150,16 @@ func NewDropout(dim int, p float64, r *rng.Rng) *Dropout {
 }
 
 // Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%.2f)", d.P) }
+func (d *DropoutOf[T]) Name() string { return fmt.Sprintf("dropout(%.2f)", d.P) }
 
 // OutDim implements Layer.
-func (d *Dropout) OutDim() int { return d.dim }
+func (d *DropoutOf[T]) OutDim() int { return d.dim }
 
 // SeedStep implements StepSeeded: subsequent masks are drawn from r.
-func (d *Dropout) SeedStep(r *rng.Rng) { d.rng = r }
+func (d *DropoutOf[T]) SeedStep(r *rng.Rng) { d.rng = r }
 
 // Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (d *DropoutOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	checkBatchInput(d, "", x, d.dim)
 	if !train || d.P == 0 {
 		d.active = false
@@ -157,7 +168,7 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := d.out.get(x.Shape[0], x.Shape[1])
 	d.mask = growBools(d.mask, len(x.Data))
 	d.active = true
-	scale := 1 / (1 - d.P)
+	scale := T(1 / (1 - d.P))
 	for i, v := range x.Data {
 		if d.rng.Float64() >= d.P {
 			d.mask[i] = true
@@ -171,12 +182,12 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (d *DropoutOf[T]) Backward(gradOut *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 	if !d.active {
 		return gradOut // eval-mode identity
 	}
 	gx := d.gx.get(gradOut.Shape[0], gradOut.Shape[1])
-	scale := 1 / (1 - d.P)
+	scale := T(1 / (1 - d.P))
 	for i, v := range gradOut.Data {
 		if d.mask[i] {
 			gx.Data[i] = v * scale
@@ -188,7 +199,7 @@ func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (d *Dropout) Params() []*tensor.Tensor { return nil }
+func (d *DropoutOf[T]) Params() []*tensor.TensorOf[T] { return nil }
 
 // Grads implements Layer (none).
-func (d *Dropout) Grads() []*tensor.Tensor { return nil }
+func (d *DropoutOf[T]) Grads() []*tensor.TensorOf[T] { return nil }

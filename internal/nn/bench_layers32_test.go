@@ -21,14 +21,14 @@ func randBatch32(r *rng.Rng, batch, dim int) *tensor.Tensor32 {
 	return x
 }
 
-func mirrorLayer32(b *testing.B, l Layer) *Sequential32 {
+func mirrorLayer32(b *testing.B, l Layer) *SequentialOf[float32] {
 	b.Helper()
 	src := NewSequential(l)
-	m := Mirror32(src)
+	m := Mirror[float32](src)
 	if m == nil {
-		b.Fatalf("Mirror32 returned nil for %s", l.Name())
+		b.Fatalf("Mirror returned nil for %s", l.Name())
 	}
-	AssignParams32(m, src)
+	CopyParams(m, src)
 	return m
 }
 

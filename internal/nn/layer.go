@@ -27,7 +27,10 @@ type StepSeeded interface {
 	SeedStep(r *rng.Rng)
 }
 
-// Layer is one differentiable stage of a network.
+// LayerOf is one differentiable stage of a network over element type T.
+// Every layer kind is written once over T; the float64 instantiation is
+// the golden reference and the float32 one runs mirrored shadows
+// (Mirror) on the SIMD kernels.
 //
 // Workspace contract: Forward and Backward return tensors backed by
 // workspaces the layer owns and reuses, so a steady-state training step
@@ -36,47 +39,53 @@ type StepSeeded interface {
 // to survive (tests, feature extraction) must Clone it. Workspaces are
 // sized lazily to the incoming batch and resized on shape changes (the
 // partial final batch, train/eval alternation) while retaining storage.
-type Layer interface {
+type LayerOf[T tensor.Float] interface {
 	// Name identifies the layer kind and shape, e.g. "conv5x5(3→6)".
 	Name() string
 	// Forward computes the layer output for a (batch, inDim) input.
 	// train enables training-time behaviour (e.g. dropout).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T]
 	// Backward consumes dL/d(output) and returns dL/d(input),
 	// accumulating parameter gradients internally. It must be called
 	// after Forward with the matching activation still cached, and may
 	// invalidate that cache (Conv2D reuses its im2col workspace for the
 	// column gradient), so call it at most once per Forward.
-	Backward(gradOut *tensor.Tensor) *tensor.Tensor
+	Backward(gradOut *tensor.TensorOf[T]) *tensor.TensorOf[T]
 	// Params returns the layer's parameter tensors (possibly empty).
 	// Callers may mutate the contents (that is how aggregation loads
 	// weights) but not replace the tensors.
-	Params() []*tensor.Tensor
+	Params() []*tensor.TensorOf[T]
 	// Grads returns gradient tensors aligned with Params.
-	Grads() []*tensor.Tensor
+	Grads() []*tensor.TensorOf[T]
 	// OutDim returns the width of the layer's output features.
 	OutDim() int
 }
 
-// Sequential chains layers and exposes whole-network parameter access.
+// Layer is the float64 layer interface.
+type Layer = LayerOf[float64]
+
+// SequentialOf chains layers and exposes whole-network parameter access.
 // The layer list is fixed after construction; the parameter/gradient
 // lists and scalar count are cached on first use so the hot paths
 // (LoadParams / FlattenParamsInto on every client visit) never rebuild
 // them.
-type Sequential struct {
-	Layers []Layer
+type SequentialOf[T tensor.Float] struct {
+	Layers []LayerOf[T]
 
-	params, grads []*tensor.Tensor
+	params, grads []*tensor.TensorOf[T]
 	numParams     int // 0 = not yet computed (no zoo net is parameterless)
 }
 
-// NewSequential builds a network from the given layers.
+// Sequential is the float64 network, the master model of every client.
+type Sequential = SequentialOf[float64]
+
+// NewSequential builds a float64 network from the given layers.
 func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
 // Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *SequentialOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	for _, l := range s.Layers {
 		x = l.Forward(x, train)
 	}
@@ -84,7 +93,7 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates the loss gradient through all layers in reverse.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (s *SequentialOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		grad = s.Layers[i].Backward(grad)
 	}
@@ -94,7 +103,7 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns every parameter tensor in layer order. The returned
 // slice is cached and shared: callers may mutate tensor contents (that
 // is how aggregation loads weights) but must not modify the slice.
-func (s *Sequential) Params() []*tensor.Tensor {
+func (s *SequentialOf[T]) Params() []*tensor.TensorOf[T] {
 	if s.params == nil {
 		for _, l := range s.Layers {
 			s.params = append(s.params, l.Params()...)
@@ -105,7 +114,7 @@ func (s *Sequential) Params() []*tensor.Tensor {
 
 // Grads returns every gradient tensor in layer order, aligned with
 // Params (cached and shared like Params).
-func (s *Sequential) Grads() []*tensor.Tensor {
+func (s *SequentialOf[T]) Grads() []*tensor.TensorOf[T] {
 	if s.grads == nil {
 		for _, l := range s.Layers {
 			s.grads = append(s.grads, l.Grads()...)
@@ -115,7 +124,7 @@ func (s *Sequential) Grads() []*tensor.Tensor {
 }
 
 // ZeroGrads clears all accumulated gradients.
-func (s *Sequential) ZeroGrads() {
+func (s *SequentialOf[T]) ZeroGrads() {
 	for _, g := range s.Grads() {
 		g.Zero()
 	}
@@ -125,8 +134,9 @@ func (s *Sequential) ZeroGrads() {
 // (keyed by layer position; r itself is not advanced) and rebases the
 // layer on it. Local training calls this once per client visit so
 // stochastic layers depend only on the visit's (client, round) stream,
-// never on how often the model instance was reused.
-func (s *Sequential) SeedStep(r *rng.Rng) {
+// never on how often the model instance was reused. Mirror preserves
+// layer positions, so a shadow draws the same streams as its source.
+func (s *SequentialOf[T]) SeedStep(r *rng.Rng) {
 	for i, l := range s.Layers {
 		if ss, ok := l.(StepSeeded); ok {
 			ss.SeedStep(r.Derive(0xd809, uint64(i)))
@@ -135,7 +145,7 @@ func (s *Sequential) SeedStep(r *rng.Rng) {
 }
 
 // NumParams returns the total number of scalar parameters.
-func (s *Sequential) NumParams() int {
+func (s *SequentialOf[T]) NumParams() int {
 	if s.numParams == 0 {
 		for _, p := range s.Params() {
 			s.numParams += p.Size()
@@ -145,7 +155,7 @@ func (s *Sequential) NumParams() int {
 }
 
 // String lists the layer names.
-func (s *Sequential) String() string {
+func (s *SequentialOf[T]) String() string {
 	out := "Sequential["
 	for i, l := range s.Layers {
 		if i > 0 {
@@ -161,7 +171,7 @@ func (s *Sequential) String() string {
 // layer rather than its name so Name()'s formatting runs only on failure
 // (the happy path is per-batch-step and must not allocate). stage is ""
 // for Forward, " backward" for Backward.
-func checkBatchInput(l Layer, stage string, x *tensor.Tensor, inDim int) {
+func checkBatchInput[T tensor.Float](l LayerOf[T], stage string, x *tensor.TensorOf[T], inDim int) {
 	if len(x.Shape) != 2 {
 		panic(fmt.Sprintf("nn: %s%s expects (batch, features) input, got %v", l.Name(), stage, x.Shape))
 	}

@@ -7,14 +7,17 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// AvgPool2 is a 2×2, stride-2 average pooling layer over CHW volumes —
+// AvgPool2Of is a 2×2, stride-2 average pooling layer over CHW volumes —
 // the subsampling LeCun's original LeNet-5 used (modern variants use max
 // pooling; both are provided).
-type AvgPool2 struct {
+type AvgPool2Of[T tensor.Float] struct {
 	C, H, W int
 	batch   int
-	out, gx ws
+	out, gx ws[T]
 }
+
+// AvgPool2 is the float64 average pooling layer.
+type AvgPool2 = AvgPool2Of[float64]
 
 // NewAvgPool2 builds the layer for the given input volume (even H, W).
 func NewAvgPool2(c, h, w int) *AvgPool2 {
@@ -28,16 +31,16 @@ func NewAvgPool2(c, h, w int) *AvgPool2 {
 }
 
 // Name implements Layer.
-func (p *AvgPool2) Name() string { return fmt.Sprintf("avgpool2(%dx%dx%d)", p.C, p.H, p.W) }
+func (p *AvgPool2Of[T]) Name() string { return fmt.Sprintf("avgpool2(%dx%dx%d)", p.C, p.H, p.W) }
 
 // InDim returns the flattened input width.
-func (p *AvgPool2) InDim() int { return p.C * p.H * p.W }
+func (p *AvgPool2Of[T]) InDim() int { return p.C * p.H * p.W }
 
 // OutDim implements Layer.
-func (p *AvgPool2) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
+func (p *AvgPool2Of[T]) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
 
 // Forward implements Layer.
-func (p *AvgPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (p *AvgPool2Of[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	checkBatchInput(p, "", x, p.InDim())
 	batch := x.Shape[0]
 	p.batch = batch
@@ -62,7 +65,7 @@ func (p *AvgPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer: spreads each gradient equally over its 2×2
 // window.
-func (p *AvgPool2) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (p *AvgPool2Of[T]) Backward(gradOut *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 	if p.batch == 0 {
 		panic("nn: AvgPool2.Backward called before Forward")
 	}
@@ -92,40 +95,44 @@ func (p *AvgPool2) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (p *AvgPool2) Params() []*tensor.Tensor { return nil }
+func (p *AvgPool2Of[T]) Params() []*tensor.TensorOf[T] { return nil }
 
 // Grads implements Layer (none).
-func (p *AvgPool2) Grads() []*tensor.Tensor { return nil }
+func (p *AvgPool2Of[T]) Grads() []*tensor.TensorOf[T] { return nil }
 
-// Sigmoid is the logistic activation, applied elementwise.
-type Sigmoid struct {
+// SigmoidOf is the logistic activation, applied elementwise. The
+// exponential is evaluated in float64 and rounded once to T.
+type SigmoidOf[T tensor.Float] struct {
 	dim     int
-	y       *tensor.Tensor
-	out, gx ws
+	y       *tensor.TensorOf[T]
+	out, gx ws[T]
 }
+
+// Sigmoid is the float64 logistic activation.
+type Sigmoid = SigmoidOf[float64]
 
 // NewSigmoid builds a Sigmoid over dim features.
 func NewSigmoid(dim int) *Sigmoid { return &Sigmoid{dim: dim} }
 
 // Name implements Layer.
-func (s *Sigmoid) Name() string { return fmt.Sprintf("sigmoid(%d)", s.dim) }
+func (s *SigmoidOf[T]) Name() string { return fmt.Sprintf("sigmoid(%d)", s.dim) }
 
 // OutDim implements Layer.
-func (s *Sigmoid) OutDim() int { return s.dim }
+func (s *SigmoidOf[T]) OutDim() int { return s.dim }
 
 // Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *SigmoidOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	checkBatchInput(s, "", x, s.dim)
 	out := s.out.get(x.Shape[0], x.Shape[1])
 	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
+		out.Data[i] = T(1 / (1 + math.Exp(float64(-v))))
 	}
 	s.y = out
 	return out
 }
 
 // Backward implements Layer: dσ = σ(1-σ).
-func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (s *SigmoidOf[T]) Backward(gradOut *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 	if s.y == nil {
 		panic("nn: Sigmoid.Backward called before Forward")
 	}
@@ -138,7 +145,7 @@ func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (s *Sigmoid) Params() []*tensor.Tensor { return nil }
+func (s *SigmoidOf[T]) Params() []*tensor.TensorOf[T] { return nil }
 
 // Grads implements Layer (none).
-func (s *Sigmoid) Grads() []*tensor.Tensor { return nil }
+func (s *SigmoidOf[T]) Grads() []*tensor.TensorOf[T] { return nil }

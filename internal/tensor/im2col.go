@@ -33,7 +33,7 @@ func (g ConvGeom) Validate() {
 // a (OutH*OutW) × (InC*KH*KW) matrix written into cols. Each row of the
 // result is the receptive field of one output pixel, so convolution becomes
 // cols · Wᵀ. cols must have exactly that shape.
-func Im2Col(img []float64, g ConvGeom, cols *Tensor) {
+func Im2Col[T Float](img []T, g ConvGeom, cols *TensorOf[T]) {
 	outH, outW := g.OutH(), g.OutW()
 	rowLen := g.InC * g.KH * g.KW
 	if cols.Shape[0] != outH*outW || cols.Shape[1] != rowLen {
@@ -45,7 +45,8 @@ func Im2Col(img []float64, g ConvGeom, cols *Tensor) {
 // Im2ColInto is Im2Col writing into a flat destination slice of length
 // exactly OutH*OutW × InC*KH*KW — the allocation-free form layers use to
 // unroll each image of a batch into its slice of a shared workspace.
-func Im2ColInto(img []float64, g ConvGeom, dst []float64) {
+// It is pure data movement, so both element types share this one body.
+func Im2ColInto[T Float](img []T, g ConvGeom, dst []T) {
 	g.Validate()
 	outH, outW := g.OutH(), g.OutW()
 	rowLen := g.InC * g.KH * g.KW
@@ -82,7 +83,7 @@ func Im2ColInto(img []float64, g ConvGeom, dst []float64) {
 // of Im2Col. grad has shape (OutH*OutW) × (InC*KH*KW); the result is
 // accumulated into img (which must be pre-zeroed by the caller if a fresh
 // gradient is wanted).
-func Col2Im(grad *Tensor, g ConvGeom, img []float64) {
+func Col2Im[T Float](grad *TensorOf[T], g ConvGeom, img []T) {
 	outH, outW := g.OutH(), g.OutW()
 	rowLen := g.InC * g.KH * g.KW
 	if grad.Shape[0] != outH*outW || grad.Shape[1] != rowLen {
@@ -94,8 +95,10 @@ func Col2Im(grad *Tensor, g ConvGeom, img []float64) {
 // Col2ImInto is Col2Im reading from a flat gradient slice of length
 // exactly OutH*OutW × InC*KH*KW — the allocation-free adjoint layers use
 // per image of a batched workspace. img accumulates and must be
-// pre-zeroed by the caller if a fresh gradient is wanted.
-func Col2ImInto(grad []float64, g ConvGeom, img []float64) {
+// pre-zeroed by the caller if a fresh gradient is wanted. Each image
+// pixel receives its sums in (oy, ox)-major then (ky, kx) order for
+// either element type.
+func Col2ImInto[T Float](grad []T, g ConvGeom, img []T) {
 	g.Validate()
 	outH, outW := g.OutH(), g.OutW()
 	rowLen := g.InC * g.KH * g.KW
@@ -125,3 +128,9 @@ func Col2ImInto(grad []float64, g ConvGeom, img []float64) {
 		}
 	}
 }
+
+// Im2Col32Into is Im2ColInto on float32 slices.
+func Im2Col32Into(img []float32, g ConvGeom, dst []float32) { Im2ColInto(img, g, dst) }
+
+// Col2Im32Into is Col2ImInto on float32 slices.
+func Col2Im32Into(grad []float32, g ConvGeom, img []float32) { Col2ImInto(grad, g, img) }

@@ -15,15 +15,56 @@ const parallelThreshold = 64 * 1024
 
 // MatMul returns a(m×k) · b(k×n) as a new m×n tensor, parallelizing over
 // row blocks when the product is large enough.
-func MatMul(a, b *Tensor) *Tensor {
-	out := New(a.Shape[0], b.Shape[1])
+func MatMul[T Float](a, b *TensorOf[T]) *TensorOf[T] {
+	out := NewOf[T](a.Shape[0], b.Shape[1])
 	MatMulInto(out, a, b)
 	return out
 }
 
+// The three matmul entry points below are the dtype boundary of the
+// package: everything else is written once over Float, but products
+// dispatch to per-dtype kernels. float64 runs the scalar kernels in this
+// file, whose skip-zero summation order the golden fingerprints pin;
+// float32 runs the SIMD kernels of matmul32.go and kernels32.go. The
+// type switch resolves per instantiation and allocates nothing.
+
 // MatMulInto computes dst = a · b for rank-2 tensors. dst must not alias
 // a or b and must have shape (a.rows, b.cols).
-func MatMulInto(dst, a, b *Tensor) {
+func MatMulInto[T Float](dst, a, b *TensorOf[T]) {
+	switch d := any(dst).(type) {
+	case *Tensor:
+		matMulInto64(d, any(a).(*Tensor), any(b).(*Tensor))
+	case *Tensor32:
+		MatMul32Into(d, any(a).(*Tensor32), any(b).(*Tensor32))
+	}
+}
+
+// MatMulTransBInto computes dst = a · bᵀ for rank-2 tensors without
+// materializing the transpose: a is (m, k), b is (n, k), dst is (m, n)
+// and must not alias a or b.
+func MatMulTransBInto[T Float](dst, a, b *TensorOf[T]) {
+	switch d := any(dst).(type) {
+	case *Tensor:
+		matMulTransBInto64(d, any(a).(*Tensor), any(b).(*Tensor))
+	case *Tensor32:
+		MatMulTransB32Into(d, any(a).(*Tensor32), any(b).(*Tensor32))
+	}
+}
+
+// MatMulTransAInto computes dst = aᵀ · b for rank-2 tensors without
+// materializing the transpose: a is (k, m), b is (k, n), dst is (m, n)
+// and must not alias a or b.
+func MatMulTransAInto[T Float](dst, a, b *TensorOf[T]) {
+	switch d := any(dst).(type) {
+	case *Tensor:
+		matMulTransAInto64(d, any(a).(*Tensor), any(b).(*Tensor))
+	case *Tensor32:
+		MatMulTransA32Into(d, any(a).(*Tensor32), any(b).(*Tensor32))
+	}
+}
+
+// matMulInto64 is MatMulInto's float64 kernel.
+func matMulInto64(dst, a, b *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
 	}
@@ -35,7 +76,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMul dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if !splitRows(m, m*n*k) || !parallelRows(m, matmulRows, dst, a, b) {
+	if !splitRows(m, m*n*k, parallelThreshold) || !par64.rows(m, matmulRows, dst, a, b) {
 		matmulRows(dst, a, b, 0, m)
 		return
 	}
@@ -44,7 +85,7 @@ func MatMulInto(dst, a, b *Tensor) {
 // cachedProcs caches runtime.GOMAXPROCS(0) so the splitRows gate — on
 // the hot path of every matmul, parallel or not — costs one atomic load
 // instead of a runtime call. refreshProcs re-reads the live value inside
-// parallelRows after a successful executor acquire (off the per-call hot
+// parRegion.rows after a successful executor acquire (off the per-call hot
 // path), so a mid-process GOMAXPROCS change is picked up at the next
 // parallel region; the lag is harmless because the partitioning never
 // affects results, only which path computes them.
@@ -67,53 +108,58 @@ func refreshProcs() int {
 }
 
 // splitRows reports whether an m-row product of `work` multiply-adds is
-// worth spreading across the executor. Small products — the per-batch
-// products inside a training step — stay on the serial kernels, which
-// perform no scheduling work and no allocations.
-func splitRows(m, work int) bool {
-	return work >= parallelThreshold && procsHint() >= 2 && m >= 2
+// worth spreading across the executor, given the dtype's threshold.
+// Small products — the per-batch products inside a training step — stay
+// on the serial kernels, which perform no scheduling work and no
+// allocations.
+func splitRows(m, work, threshold int) bool {
+	return work >= threshold && procsHint() >= 2 && m >= 2
 }
 
-// rowsKernel computes rows [lo, hi) of one matmul variant. The three
-// serial kernels (matmulRows, matmulTransBRows, matmulTransARows) all
-// have this shape, so the parallel dispatch is a plain function value —
-// no per-call closure.
-type rowsKernel func(dst, a, b *Tensor, lo, hi int)
+// rowsKernel computes rows [lo, hi) of one matmul variant. The serial
+// kernels of both dtypes all have this shape, so the parallel dispatch
+// is a plain function value — no per-call closure.
+type rowsKernel[T Float] func(dst, a, b *TensorOf[T], lo, hi int)
 
-// parDispatch is the operand slot of the in-flight parallel region. It
-// is guarded by the executor claim: only the goroutine that holds
-// sched.Default()'s claim writes it, and it is cleared before the claim
-// is released, so the executor's single-region discipline makes the
-// whole dispatch closure-free and allocation-free.
-var parDispatch struct {
-	kernel    rowsKernel
-	dst, a, b *Tensor
+// parRegion is the operand slot of the in-flight parallel region, one
+// per dtype. It is guarded by the executor claim: only the goroutine
+// that holds sched.Default()'s claim writes it, and it is cleared before
+// the claim is released, so the executor's single-region discipline
+// makes the whole dispatch closure-free and allocation-free.
+type parRegion[T Float] struct {
+	kernel    rowsKernel[T]
+	dst, a, b *TensorOf[T]
 	chunk, m  int
+	// block is the persistent task executor workers run: block i covers
+	// rows [i*chunk, min((i+1)*chunk, m)).
+	block func(_, blk int)
 }
 
-// parRunBlock is the persistent task executor workers run: block i
-// covers rows [i*chunk, min((i+1)*chunk, m)).
-var parRunBlock = func(_, blk int) {
-	d := &parDispatch
-	lo := blk * d.chunk
-	hi := lo + d.chunk
-	if hi > d.m {
-		hi = d.m
+var (
+	par64 = newParRegion[float64]()
+	par32 = newParRegion[float32]()
+)
+
+func newParRegion[T Float]() *parRegion[T] {
+	d := &parRegion[T]{}
+	d.block = func(_, blk int) {
+		lo := blk * d.chunk
+		d.kernel(d.dst, d.a, d.b, lo, min(lo+d.chunk, d.m))
 	}
-	d.kernel(d.dst, d.a, d.b, lo, hi)
+	return d
 }
 
-// parallelRows runs kernel over contiguous row blocks of [0, m) on the
-// shared executor and reports whether it ran. It refuses — returning
-// false, caller must run the serial kernel — when the executor is
-// unavailable: the call is nested inside a running region (a kernel
-// invoked from a client task of the round engine, or from an Env pinned
-// to a private pool) or racing a concurrent region. That refusal is what
-// eliminates nested oversubscription. The partitioning never affects
-// results: every output element is produced by exactly one block with a
-// fixed per-element summation order, so parallel and serial runs are
+// rows runs kernel over contiguous row blocks of [0, m) on the shared
+// executor and reports whether it ran. It refuses — returning false,
+// caller must run the serial kernel — when the executor is unavailable:
+// the call is nested inside a running region (a kernel invoked from a
+// client task of the round engine, or from an Env pinned to a private
+// pool) or racing a concurrent region. That refusal is what eliminates
+// nested oversubscription. The partitioning never affects results: every
+// output element is produced by exactly one block with a fixed
+// per-element summation order, so parallel and serial runs are
 // bit-identical.
-func parallelRows(m int, kernel rowsKernel, dst, a, b *Tensor) bool {
+func (d *parRegion[T]) rows(m int, kernel rowsKernel[T], dst, a, b *TensorOf[T]) bool {
 	if sched.Busy() {
 		return false
 	}
@@ -122,27 +168,21 @@ func parallelRows(m int, kernel rowsKernel, dst, a, b *Tensor) bool {
 		return false
 	}
 	defer p.Release()
-	width := refreshProcs()
-	if width > m {
-		width = m
-	}
+	width := min(refreshProcs(), m)
 	chunk := (m + width - 1) / width
 	blocks := (m + chunk - 1) / chunk
-	d := &parDispatch
 	d.kernel, d.dst, d.a, d.b = kernel, dst, a, b
 	d.chunk, d.m = chunk, m
-	p.RunAcquired(blocks, width, parRunBlock)
+	p.RunAcquired(blocks, width, d.block)
 	d.kernel, d.dst, d.a, d.b = nil, nil, nil, nil
 	return true
 }
 
-// MatMulTransBInto computes dst = a · bᵀ for rank-2 tensors without
-// materializing the transpose: a is (m, k), b is (n, k), dst is (m, n)
-// and must not alias a or b. Each output element is the dot product of an
-// a-row with a b-row, summed over p in increasing order with the same
-// skip-zero rule as matmulRows, so the result is bit-identical to
-// MatMul(a, Transpose(b)).
-func MatMulTransBInto(dst, a, b *Tensor) {
+// matMulTransBInto64 is MatMulTransBInto's float64 kernel. Each output
+// element is the dot product of an a-row with a b-row, summed over p in
+// increasing order with the same skip-zero rule as matmulRows, so the
+// result is bit-identical to MatMul(a, Transpose(b)).
+func matMulTransBInto64(dst, a, b *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransB requires rank-2 tensors")
 	}
@@ -154,7 +194,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if !splitRows(m, m*n*k) || !parallelRows(m, matmulTransBRows, dst, a, b) {
+	if !splitRows(m, m*n*k, parallelThreshold) || !par64.rows(m, matmulTransBRows, dst, a, b) {
 		matmulTransBRows(dst, a, b, 0, m)
 		return
 	}
@@ -237,12 +277,11 @@ func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 	}
 }
 
-// MatMulTransAInto computes dst = aᵀ · b without materializing the
-// transpose: a is (k, m), b is (k, n), dst is (m, n) and must not alias
-// a or b. Row i of dst accumulates a's column i against b's rows over p
-// in increasing order with the same skip-zero rule as matmulRows, so the
-// result is bit-identical to MatMul(Transpose(a), b).
-func MatMulTransAInto(dst, a, b *Tensor) {
+// matMulTransAInto64 is MatMulTransAInto's float64 kernel. Row i of dst
+// accumulates a's column i against b's rows over p in increasing order
+// with the same skip-zero rule as matmulRows, so the result is
+// bit-identical to MatMul(Transpose(a), b).
+func matMulTransAInto64(dst, a, b *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransA requires rank-2 tensors")
 	}
@@ -254,7 +293,7 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransA dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if !splitRows(m, m*n*k) || !parallelRows(m, matmulTransARows, dst, a, b) {
+	if !splitRows(m, m*n*k, parallelThreshold) || !par64.rows(m, matmulTransARows, dst, a, b) {
 		matmulTransARows(dst, a, b, 0, m)
 		return
 	}

@@ -145,17 +145,17 @@ func TestMatMul32Variants(t *testing.T) {
 			shapes := [][3]int{{1, 1, 1}, {2, 3, 4}, {3, 5, 7}, {4, 4, 4}, {5, 9, 6}, {8, 8, 8}, {7, 13, 11}, {16, 10, 20}}
 			for _, s := range shapes {
 				m, k, n := s[0], s[1], s[2]
-				a := FromSlice32(randSlice32(r, m*k), m, k)
-				b := FromSlice32(randSlice32(r, k*n), k, n)
+				a := FromSlice(randSlice32(r, m*k), m, k)
+				b := FromSlice(randSlice32(r, k*n), k, n)
 				dst := New32(m, n)
 				MatMul32Into(dst, a, b)
 				checkClose32(t, fmt.Sprintf("MatMul32 %v", s), dst, matmul32Ref(a, b, false, false), k)
 
-				bt := FromSlice32(randSlice32(r, n*k), n, k)
+				bt := FromSlice(randSlice32(r, n*k), n, k)
 				MatMulTransB32Into(dst, a, bt)
 				checkClose32(t, fmt.Sprintf("MatMulTransB32 %v", s), dst, matmul32Ref(a, bt, false, true), k)
 
-				at := FromSlice32(randSlice32(r, k*m), k, m)
+				at := FromSlice(randSlice32(r, k*m), k, m)
 				MatMulTransA32Into(dst, at, b)
 				checkClose32(t, fmt.Sprintf("MatMulTransA32 %v", s), dst, matmul32Ref(at, b, true, false), k)
 			}
@@ -176,8 +176,8 @@ func TestMatMul32ParallelBitIdentical(t *testing.T) {
 	if m*n*k < parallelThreshold32 {
 		t.Fatalf("test shape below parallelThreshold32")
 	}
-	a := FromSlice32(randSlice32(r, m*k), m, k)
-	b := FromSlice32(randSlice32(r, k*n), k, n)
+	a := FromSlice(randSlice32(r, m*k), m, k)
+	b := FromSlice(randSlice32(r, k*n), k, n)
 
 	serial := New32(m, n)
 	matmul32Rows(serial, a, b, 0, m)
@@ -189,7 +189,7 @@ func TestMatMul32ParallelBitIdentical(t *testing.T) {
 		}
 	}
 
-	bt := FromSlice32(randSlice32(r, n*k), n, k)
+	bt := FromSlice(randSlice32(r, n*k), n, k)
 	matmulTransB32Rows(serial, a, bt, 0, m)
 	MatMulTransB32Into(par, a, bt)
 	for i := range par.Data {
@@ -198,7 +198,7 @@ func TestMatMul32ParallelBitIdentical(t *testing.T) {
 		}
 	}
 
-	at := FromSlice32(randSlice32(r, k*m), k, m)
+	at := FromSlice(randSlice32(r, k*m), k, m)
 	matmulTransA32Rows(serial, at, b, 0, m)
 	MatMulTransA32Into(par, at, b)
 	for i := range par.Data {
@@ -256,7 +256,7 @@ func TestTensor32Basics(t *testing.T) {
 		t.Fatalf("New32 metadata wrong: %v", a)
 	}
 	a.Fill(2)
-	b := FromSlice32([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	a.AddScaled(b, 0.5)
 	want := []float32{2.5, 3, 3.5, 4, 4.5, 5}
 	for i, v := range want {
@@ -284,8 +284,8 @@ func TestTensor32Basics(t *testing.T) {
 
 func benchMat32(b *testing.B, m, k, n int) (*Tensor32, *Tensor32, *Tensor32) {
 	r := rng.New(3)
-	a := FromSlice32(randSlice32(r, m*k), m, k)
-	bb := FromSlice32(randSlice32(r, k*n), k, n)
+	a := FromSlice(randSlice32(r, m*k), m, k)
+	bb := FromSlice(randSlice32(r, k*n), k, n)
 	return New32(m, n), a, bb
 }
 
@@ -318,8 +318,8 @@ func BenchmarkMatMul64Ref(b *testing.B) {
 func BenchmarkMatMulTransB32(b *testing.B) {
 	r := rng.New(3)
 	m, k, n := 64, 128, 64
-	a := FromSlice32(randSlice32(r, m*k), m, k)
-	bt := FromSlice32(randSlice32(r, n*k), n, k)
+	a := FromSlice(randSlice32(r, m*k), m, k)
+	bt := FromSlice(randSlice32(r, n*k), n, k)
 	dst := New32(m, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

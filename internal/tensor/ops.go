@@ -6,14 +6,14 @@ import (
 )
 
 // checkSameShape panics unless a and b have identical shapes.
-func checkSameShape(op string, a, b *Tensor) {
+func checkSameShape[T Float](op string, a, b *TensorOf[T]) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.Shape, b.Shape))
 	}
 }
 
 // AddInto sets dst = a + b elementwise. dst may alias a or b.
-func AddInto(dst, a, b *Tensor) {
+func AddInto[T Float](dst, a, b *TensorOf[T]) {
 	checkSameShape("Add", a, b)
 	checkSameShape("Add", a, dst)
 	for i := range dst.Data {
@@ -22,14 +22,14 @@ func AddInto(dst, a, b *Tensor) {
 }
 
 // Add returns a + b as a new tensor.
-func Add(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
+func Add[T Float](a, b *TensorOf[T]) *TensorOf[T] {
+	out := NewOf[T](a.Shape...)
 	AddInto(out, a, b)
 	return out
 }
 
 // SubInto sets dst = a - b elementwise. dst may alias a or b.
-func SubInto(dst, a, b *Tensor) {
+func SubInto[T Float](dst, a, b *TensorOf[T]) {
 	checkSameShape("Sub", a, b)
 	checkSameShape("Sub", a, dst)
 	for i := range dst.Data {
@@ -38,14 +38,14 @@ func SubInto(dst, a, b *Tensor) {
 }
 
 // Sub returns a - b as a new tensor.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
+func Sub[T Float](a, b *TensorOf[T]) *TensorOf[T] {
+	out := NewOf[T](a.Shape...)
 	SubInto(out, a, b)
 	return out
 }
 
 // MulInto sets dst = a * b elementwise (Hadamard product).
-func MulInto(dst, a, b *Tensor) {
+func MulInto[T Float](dst, a, b *TensorOf[T]) {
 	checkSameShape("Mul", a, b)
 	checkSameShape("Mul", a, dst)
 	for i := range dst.Data {
@@ -54,21 +54,21 @@ func MulInto(dst, a, b *Tensor) {
 }
 
 // Mul returns the elementwise product of a and b.
-func Mul(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
+func Mul[T Float](a, b *TensorOf[T]) *TensorOf[T] {
+	out := NewOf[T](a.Shape...)
 	MulInto(out, a, b)
 	return out
 }
 
 // Scale multiplies every element of t by s in place.
-func (t *Tensor) Scale(s float64) {
+func (t *TensorOf[T]) Scale(s T) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
 }
 
 // AddScaled adds s*o to t in place (axpy).
-func (t *Tensor) AddScaled(o *Tensor, s float64) {
+func (t *TensorOf[T]) AddScaled(o *TensorOf[T], s T) {
 	checkSameShape("AddScaled", t, o)
 	for i := range t.Data {
 		t.Data[i] += s * o.Data[i]
@@ -76,15 +76,15 @@ func (t *Tensor) AddScaled(o *Tensor, s float64) {
 }
 
 // Apply replaces every element x with f(x) in place.
-func (t *Tensor) Apply(f func(float64) float64) {
+func (t *TensorOf[T]) Apply(f func(T) T) {
 	for i, x := range t.Data {
 		t.Data[i] = f(x)
 	}
 }
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	var s float64
+func (t *TensorOf[T]) Sum() T {
+	var s T
 	for _, x := range t.Data {
 		s += x
 	}
@@ -92,11 +92,11 @@ func (t *Tensor) Sum() float64 {
 }
 
 // Dot returns the inner product of a and b viewed as flat vectors.
-func Dot(a, b *Tensor) float64 {
+func Dot[T Float](a, b *TensorOf[T]) T {
 	if len(a.Data) != len(b.Data) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a.Data), len(b.Data)))
 	}
-	var s float64
+	var s T
 	for i := range a.Data {
 		s += a.Data[i] * b.Data[i]
 	}
@@ -104,19 +104,19 @@ func Dot(a, b *Tensor) float64 {
 }
 
 // Norm returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm() float64 {
-	var s float64
+func (t *TensorOf[T]) Norm() float64 {
+	var s T
 	for _, x := range t.Data {
 		s += x * x
 	}
-	return math.Sqrt(s)
+	return math.Sqrt(float64(s))
 }
 
 // MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
+func (t *TensorOf[T]) MaxAbs() T {
+	var m T
 	for _, x := range t.Data {
-		if a := math.Abs(x); a > m {
+		if a := T(math.Abs(float64(x))); a > m {
 			m = a
 		}
 	}
@@ -125,12 +125,12 @@ func (t *Tensor) MaxAbs() float64 {
 
 // Equal reports whether a and b have the same shape and elementwise
 // absolute difference at most tol.
-func Equal(a, b *Tensor, tol float64) bool {
+func Equal[T Float](a, b *TensorOf[T], tol float64) bool {
 	if !a.SameShape(b) {
 		return false
 	}
 	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+		if math.Abs(float64(a.Data[i]-b.Data[i])) > tol {
 			return false
 		}
 	}
